@@ -37,6 +37,17 @@ from repro.tree.lists import InteractionLists, build_lists
 METHODS = ("fmm", "fmm-basic", "bh")
 
 
+def require_finite(**arrays) -> None:
+    """Raise ``ValueError`` naming the first argument holding NaN or inf.
+
+    A non-finite coordinate would otherwise be Morton-binned like any
+    other point and come back as finite - silently wrong - potentials.
+    """
+    for name, arr in arrays.items():
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+
+
 @dataclass
 class EvaluationReport:
     """Everything one evaluation produced."""
@@ -208,7 +219,9 @@ class DashmmEvaluator:
 
         Prebuilt trees/lists/DAGs may be passed to amortize setup over
         repeated evaluations (the iterative use case of Section IV).
+        Non-finite inputs raise ``ValueError``.
         """
+        require_finite(sources=sources, weights=weights, targets=targets)
         if self.runtime_config.backend == "parallel":
             # real-core execution: every worker process rebuilds the
             # setup deterministically from the raw arrays, so prebuilt

@@ -297,13 +297,9 @@ class _WorkerBody:
             source_weights=weights,
             vectorized=self.ev.vectorized_setup,
         )
-        cache = self._geom_cache
-        if cache:
-            # coordinate-derived matrices are stale; i2i translation
-            # stacks only depend on the DAG and survive a same-shape move
-            for k in list(cache):
-                if k[0] != "i2i":
-                    del cache[k]
+        if self._geom_cache:
+            # every cached matrix is coordinate-derived, hence stale
+            self._geom_cache.clear()
         if dual_shape_fingerprint(new_dual) == old_shape:
             refresh_n_points(self.dag, new_dual)
             old_locs = [nd.locality for nd in self.dag.nodes]
@@ -314,16 +310,9 @@ class _WorkerBody:
                 self.reg.reset(zero_result=False)
             else:
                 # ownership moved: the local LCO set changes, so the
-                # network reallocates (box centers stay shape-valid).
-                # The surviving i2i stacks are keyed by locality and
-                # could alias a different group of the same size under
-                # the new cuts - drop them too.
-                if cache:
-                    cache.clear()
+                # network reallocates (box centers stay shape-valid)
                 self._make_registrar(new_dual, self.dag, centers=self.reg._centers)
             return
-        if cache:
-            cache.clear()
         dag, _ = self.ev.build_dag(new_dual)
         self.ev.policy.assign(dag, new_dual, self.n)
         self.dual, self.dag = new_dual, dag

@@ -288,25 +288,23 @@ class Registrar:
             "target": np.array([dual.domain.box_center(b.key) for b in dual.target.boxes]),
         }
         #: optional cache of geometry-derived operator matrices (p2m
-        #: basis rows, i2i stacks, s2t greens chunks, m2t/l2t evaluation
-        #: matrices), owned by the persistent session.  None (the
-        #: default) disables caching entirely; when set, the flush paths
-        #: populate it and reuse entries on later warm runs.  Entries
-        #: are keyed so a hit reproduces the cold stacked operands bit
-        #: for bit; the session is responsible for invalidation when
-        #: points or shape move.
+        #: basis rows, s2t greens chunks, m2t/l2t evaluation matrices),
+        #: owned by the persistent session.  None (the default) disables
+        #: caching entirely; when set, the flush paths populate it and
+        #: reuse entries on later warm runs.  Entries are keyed so a hit
+        #: reproduces the cold stacked operands bit for bit; the session
+        #: is responsible for invalidation when points or shape move.
         self.geom_cache: dict | None = None
         #: flush-plan recording (persistent sessions): the first batched
-        #: m2i/i2i flush records its marker group compositions and a
-        #: dense row index into the stacked amplitude matrix, so warm
-        #: re-runs skip the marker sort/grouping and gather plane-wave
-        #: rows with one fancy index instead of a 50k-item Python loop.
-        #: Plans bake node localities in; anything that reassigns nodes
-        #: under a live registrar must call :meth:`invalidate_plans`.
+        #: m2i flush records its group compositions and the first i2i
+        #: flush its compiled factor tables and index arrays
+        #: (:meth:`_compile_i2i`), so warm re-runs skip the marker sort,
+        #: the grouping and the compile.  Plans bake node localities in;
+        #: anything that reassigns nodes under a live registrar must
+        #: call :meth:`invalidate_plans`.
         self.plan_caching = False
         self._m2i_plan: tuple | None = None
         self._i2i_plan: tuple | None = None
-        self._is_mat: np.ndarray | None = None
         # hot references resolved once (touched per edge in the runs)
         self._nodes = dag.nodes
         self._sboxes = dual.source.boxes if dual is not None else None
@@ -482,7 +480,6 @@ class Registrar:
             "m2i_dirs": dict(self._m2i_dirs),
             "m2i_plan": self._m2i_plan,
             "i2i_plan": self._i2i_plan,
-            "is_mat": self._is_mat,
             "result": None if self.result is None else self.result.copy(),
         }
 
@@ -497,13 +494,12 @@ class Registrar:
         self._m2i_dirs = dict(state["m2i_dirs"])
         self._m2i_plan = state["m2i_plan"]
         self._i2i_plan = state["i2i_plan"]
-        self._is_mat = state["is_mat"]
         if state["result"] is not None:
             # in place: closures and the evaluator hold this array
             self.result[:] = state["result"]
 
     def invalidate_plans(self) -> None:
-        """Drop recorded flush plans (group compositions + gather rows).
+        """Drop recorded flush plans (group compositions + i2i tables).
 
         Required whenever node localities change under a live registrar:
         the plans bake the (direction, level, locality) group keys - and
@@ -512,7 +508,6 @@ class Registrar:
         """
         self._m2i_plan = None
         self._i2i_plan = None
-        self._is_mat = None
 
     def _record_plans(self) -> bool:
         """Flush plans are only sound when every flush sees the full
@@ -848,173 +843,114 @@ class Registrar:
         real-parallel worker accumulates: the stacked operands - hence
         the floating-point results - are bit-identical whether the flush
         runs globally (simulator) or per worker (parallel backend).
-        The same keying applies to every flush below.
+        The same keying applies to every flush below.  A recorded plan
+        replays the group compositions without the marker sort.
         """
         lazy, self._lazy_m2i = self._lazy_m2i, []
         plan = self._m2i_plan
-        if plan is not None and len(lazy) == plan[0]:
-            self._flush_m2i_planned(plan)
-            return
+        if plan is None or len(lazy) != plan[0]:
+            lazy.sort(key=_marker_order)
+            nodes = self._nodes
+            groups: dict[tuple, list] = {}
+            for m in lazy:
+                e = m.edge
+                groups.setdefault(
+                    (nodes[e.src].level, nodes[e.dst].locality), []
+                ).append(e)
+            plan = (len(lazy), [(lv, grp) for (lv, _), grp in groups.items()])
+            if self._record_plans():
+                self._m2i_plan = plan
+        lcos, dirs = self.lcos, self._m2i_dirs
+        for level, grp in plan[1]:
+            stack = self.factory.m2i_stack(_FULL_DIRS, self.dual.domain.box_size(level))
+            M = np.stack([self._data_of(e.src) for e in grp])
+            amps = M @ stack.T
+            per = amps.shape[1] // len(_FULL_DIRS)
+            for row, e in zip(amps, grp):
+                lcos[e.dst].data = {
+                    d: row[_DIR_IDX[d] * per : (_DIR_IDX[d] + 1) * per]
+                    for d in dirs[e.dst]
+                }
+
+    def _compile_i2i(self, lazy) -> list:
+        """Compile pending I->I markers into per-group factor tables.
+
+        An I->I value is the source's outgoing plane wave times a
+        diagonal factor that depends only on (direction, integer offset,
+        level).  Each (direction, source level, destination locality)
+        group therefore compiles to ``(d, srcs, T, slots, dsts)``:
+
+        * ``T`` - one factor row per distinct offset in the group;
+        * ``srcs`` - the distinct source nodes, whose plane waves are
+          stacked once per flush;
+        * ``dsts`` - the destinations, by decreasing in-degree;
+        * ``slots[j] = (r, k)`` - the j-th incoming edge, in canonical
+          order, of each of the first ``len(r)`` destinations, as source
+          rows ``r`` and offset rows ``k``.
+
+        Everything here is a function of the DAG and the node
+        localities, never of the charges or coordinates.
+        """
         lazy.sort(key=_marker_order)
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
+        nodes = self._nodes
+        groups: dict[tuple, dict] = {}
         for m in lazy:
             e = m.edge
             groups.setdefault(
-                (nodes[e.src].level, nodes[e.dst].locality), []
-            ).append(e)
-        record = self._record_plans()
-        plan_groups: list = []
-        mats: list = []
-        rows: dict[int, int] = {}
-        off = 0
-        for (level, _), grp in groups.items():
+                (e.aux[0], nodes[e.src].level, nodes[e.dst].locality), {}
+            ).setdefault(e.dst, []).append(e)
+        compiled = []
+        for (d, level, _), by_dst in groups.items():
+            dsts = sorted(by_dst, key=lambda n: -len(by_dst[n]))
+            srcs: dict[int, int] = {}
+            offs: dict[tuple, int] = {}
+            slots = []
+            col = [by_dst[n] for n in dsts]
+            for j in range(len(col[0])):
+                col = [es for es in col if len(es) > j]
+                es = [es[j] for es in col]
+                r = [srcs.setdefault(e.src, len(srcs)) for e in es]
+                k = [offs.setdefault(e.aux[1], len(offs)) for e in es]
+                slots.append((np.array(r, dtype=np.intp), np.array(k, dtype=np.intp)))
             h = self.dual.domain.box_size(level)
-            stack = self.factory.m2i_stack(_FULL_DIRS, h)
-            M = np.stack([self._data_of(e.src) for e in grp])
-            amps = M @ stack.T
-            per = amps.shape[1] // len(_FULL_DIRS)
-            for row, e in zip(amps, grp):
-                lcos[e.dst].data = {
-                    d: row[_DIR_IDX[d] * per : (_DIR_IDX[d] + 1) * per]
-                    for d in self._m2i_dirs[e.dst]
-                }
-            if record:
-                plan_groups.append((level, grp, off))
-                for i, e in enumerate(grp):
-                    rows[e.dst] = off + i
-                mats.append(amps)
-                off += len(grp)
-        if record and mats:
-            self._m2i_plan = (len(lazy), plan_groups, rows)
-            self._is_mat = (
-                np.concatenate(mats) if len(mats) > 1 else mats[0].copy()
-            )
-
-    def _flush_m2i_planned(self, plan: tuple) -> None:
-        """Warm-path M->I flush over a recorded plan: same stacked GEMMs
-        per recorded group (hence bit-identical amplitudes), no marker
-        sort or regrouping; each group's rows land in the shared dense
-        amplitude matrix the planned I->I gather fancy-indexes."""
-        _, groups, _rows = plan
-        lcos = self.lcos
-        is_mat = self._is_mat
-        dom = self.dual.domain
-        for level, grp, off in groups:
-            h = dom.box_size(level)
-            stack = self.factory.m2i_stack(_FULL_DIRS, h)
-            M = np.stack([self._data_of(e.src) for e in grp])
-            amps = M @ stack.T
-            is_mat[off : off + len(grp)] = amps
-            per = amps.shape[1] // len(_FULL_DIRS)
-            for row, e in zip(amps, grp):
-                lcos[e.dst].data = {
-                    d: row[_DIR_IDX[d] * per : (_DIR_IDX[d] + 1) * per]
-                    for d in self._m2i_dirs[e.dst]
-                }
+            T = np.stack([self.factory.i2i(d, delta, h) for delta in offs])
+            compiled.append((d, list(srcs), T, slots, dsts))
+        return compiled
 
     def _flush_i2i(self) -> None:
-        """Materialize every pending I->I value: one broadcast multiply
-        per (direction, level) wave, then a segmented reduction into
-        the per-direction accumulators of each target node."""
+        """Materialize every pending I->I value from compiled factor tables.
+
+        Per group (:meth:`_compile_i2i`) the source plane waves are
+        stacked once into ``W``; slot 0 starts every destination's
+        accumulator as ``W[r0] * T[k0]`` and each later slot adds
+        ``W[rj] * T[kj]`` into the destinations that have a j-th edge
+        (a prefix of ``dsts``, which is ordered by in-degree).
+        Each destination thus folds its edges one by one in canonical
+        order - the per-edge LCO fold, bit for bit - and the result is
+        the same whether the flush runs globally or per worker.  A
+        recorded plan keeps only the compiled tables and index arrays.
+        """
         lazy, self._lazy_i2i = self._lazy_i2i, []
         plan = self._i2i_plan
-        if plan is not None and len(lazy) == plan[0]:
-            self._flush_i2i_planned(plan)
-            return
-        lazy.sort(key=_marker_order)
-        nodes, lcos = self._nodes, self.lcos
-        groups: dict[tuple, list] = {}
-        for m in lazy:
-            e = m.edge
-            groups.setdefault(
-                (e.aux[0], nodes[e.src].level, nodes[e.dst].locality), []
-            ).append(e)
-        cache = self.geom_cache
-        record = self._record_plans()
-        m2i_plan = self._m2i_plan
-        rows = m2i_plan[2] if m2i_plan is not None else None
-        plan_groups: list = []
-        for (d, level, loc), grp in groups.items():
-            h = self.dual.domain.box_size(level)
-            grp.sort(key=lambda e: e.dst)
-            # the translation stack depends only on the DAG's edge set
-            # (directions, deltas, levels) - not on point coordinates -
-            # so it survives even a *geometry* change as long as the
-            # shape (and hence the DAG template) is reused.  The group
-            # composition is deterministic given the DAG, making the
-            # group key + size a faithful identity for the stack.
-            ck = ("i2i", d, level, loc, len(grp))
-            F = cache.get(ck) if cache is not None else None
-            if F is None:
-                i2i = self.factory.i2i
-                F = np.stack([i2i(d, e.aux[1], h) for e in grp])
-                if cache is not None:
-                    cache[ck] = F
-            W = np.stack([self._data_of(e.src)[d] for e in grp])
-            amps = W * F
-            starts = [
-                i for i in range(len(grp)) if i == 0 or grp[i].dst != grp[i - 1].dst
-            ]
-            sums = np.add.reduceat(amps, starts, axis=0)
-            for i, s in zip(starts, sums):
-                dst = lcos[grp[i].dst]
-                if dst.data is None:
-                    dst.data = {d: s}
-                else:
-                    cur = dst.data.get(d)
-                    dst.data[d] = s if cur is None else cur + s
-            if record:
-                # a None row index means some source's plane waves were
-                # not fitted locally (parallel backend, mirrored data):
-                # that group keeps the per-edge gather on warm runs
-                row_idx = None
-                if rows is not None:
-                    try:
-                        row_idx = np.fromiter(
-                            (rows[e.src] for e in grp),
-                            dtype=np.intp,
-                            count=len(grp),
-                        )
-                    except KeyError:
-                        row_idx = None
-                per = F.shape[1]
-                lo = _DIR_IDX[d] * per
-                plan_groups.append(
-                    (
-                        d,
-                        lo,
-                        lo + per,
-                        row_idx,
-                        grp,
-                        F,
-                        np.asarray(starts, dtype=np.intp),
-                        [grp[i].dst for i in starts],
-                    )
-                )
-        if record:
-            self._i2i_plan = (len(lazy), plan_groups)
-
-    def _flush_i2i_planned(self, plan: tuple) -> None:
-        """Warm-path I->I flush over a recorded plan.
-
-        The wave stack W is gathered with one fancy index per group out
-        of the dense amplitude matrix the planned M->I flush filled -
-        the gathered rows carry exactly the values the per-edge lookup
-        reads out of each source's direction dict, so the broadcast
-        multiply and segmented reduction are bit-identical to the
-        recording run."""
-        lcos = self.lcos
-        is_mat = self._is_mat
-        data_of = self._data_of
-        for d, lo, hi, row_idx, grp, F, starts, dsts in plan[1]:
-            if row_idx is not None and is_mat is not None:
-                W = is_mat[row_idx, lo:hi]
-            else:
-                W = np.stack([data_of(e.src)[d] for e in grp])
-            amps = W * F
-            sums = np.add.reduceat(amps, starts, axis=0)
-            for dst_id, s in zip(dsts, sums):
+        if plan is None or len(lazy) != plan[0]:
+            plan = (len(lazy), self._compile_i2i(lazy))
+            if self._record_plans():
+                self._i2i_plan = plan
+        lcos, data_of = self.lcos, self._data_of
+        for d, srcs, T, slots, dsts in plan[1]:
+            W = np.stack([data_of(s)[d] for s in srcs])
+            acc = np.empty((len(dsts), T.shape[1]), dtype=complex)
+            # destination blocks of 32 rows keep every gathered operand
+            # cache-resident while all slots fold into the block
+            (r0, k0), *rest = slots
+            for a in range(0, len(dsts), 32):
+                b = a + 32
+                np.multiply(W[r0[a:b]], T[k0[a:b]], out=acc[a:b])
+                for r, k in rest:
+                    if len(r) <= a:
+                        break
+                    acc[a : min(b, len(r))] += W[r[a:b]] * T[k[a:b]]
+            for dst_id, s in zip(dsts, acc):
                 dst = lcos[dst_id]
                 if dst.data is None:
                     dst.data = {d: s}

@@ -42,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from repro.dashmm.dag import DAG, refresh_n_points
+from repro.dashmm.evaluator import require_finite
 from repro.dashmm.registrar import Registrar, _marker_order
 from repro.hpx.scheduler import Task, resolve_policy
 from repro.tree.box import Domain
@@ -278,17 +279,8 @@ def _capture_replay(reg: Registrar) -> "_ReplayPlan | None":
     )
 
 
-def _drop_geometry_entries(cache: dict) -> None:
-    """Invalidate point-geometry-derived matrices, keep shape-only ones.
-
-    The i2i translation stacks depend only on the DAG's edge set, so
-    they survive a point perturbation that preserves the shape; the p2m
-    basis rows and the m2t/l2t evaluation matrices are functions of the
-    coordinates and must go.
-    """
-    for k in list(cache):
-        if k[0] != "i2i":
-            del cache[k]
+#: tree-repair records kept in ``EvaluatorSession.stats["tree_updates"]``
+TREE_UPDATE_HISTORY = 64
 
 
 class EvaluatorSession:
@@ -339,7 +331,9 @@ class EvaluatorSession:
             "submits": 0,
             "template_hits": 0,
             "template_misses": 0,
-            "tree_updates": [],
+            # the newest tree-repair records only: a long-lived
+            # session must not grow with its submission count
+            "tree_updates": deque(maxlen=TREE_UPDATE_HISTORY),
         }
 
     def _schema_token(self) -> str:
@@ -373,7 +367,11 @@ class EvaluatorSession:
         charges: np.ndarray,
         targets: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Potentials at ``targets`` (default: ``points``) due to ``charges``."""
+        """Potentials at ``targets`` (default: ``points``) due to ``charges``.
+
+        Non-finite inputs raise ``ValueError``.
+        """
+        require_finite(points=points, charges=charges, targets=targets)
         sources = np.ascontiguousarray(points, dtype=np.float64)
         charges = np.ascontiguousarray(charges, dtype=np.float64)
         tgts = (
@@ -521,16 +519,14 @@ class EvaluatorSession:
                     tpl.dag, dual, ev._resolved_config().n_localities
                 )
                 if [nd.locality for nd in tpl.dag.nodes] != old_locs:
-                    # the replay plan, the flush plans and the i2i
-                    # stacks all bake group-by-locality compositions
-                    # in; a shifted assignment makes them stale (the
-                    # locality-keyed cache entries could otherwise
-                    # alias a different group of the same size)
+                    # the replay plan and the flush plans bake
+                    # group-by-locality compositions in; a shifted
+                    # assignment makes them stale
                     tpl.replay = None
                     reg.invalidate_plans()
-                    reg.geom_cache.clear()
                 tpl.full_fp = full
-            _drop_geometry_entries(reg.geom_cache)
+            # every geometry-cache entry is coordinate-derived
+            reg.geom_cache.clear()
             tpl.geom_token = gt
             tpl.dual = dual
         reg.reset()

@@ -225,6 +225,33 @@ def test_session_rejects_phantom_mode(kernel):
         EvaluatorSession(ev)
 
 
+def test_tree_update_history_is_bounded(evaluator, cloud):
+    rng, pts, w = cloud
+    pts, w = pts[:200], w[:200]
+    with EvaluatorSession(evaluator) as sess:
+        bound = sess.stats["tree_updates"].maxlen
+        assert bound is not None
+        for _ in range(bound + 5):
+            sess.submit(pts, rng.normal(size=len(w)))
+            assert len(sess.stats["tree_updates"]) <= bound
+        assert len(sess.stats["tree_updates"]) == bound
+        assert sess.stats["submits"] == bound + 5
+        assert sess.stats["tree_updates"][-1]["source"] == "unchanged"
+
+
+@pytest.mark.parametrize("arg", ["points", "charges", "targets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_submit_rejects_non_finite_input(evaluator, cloud, arg, bad):
+    rng, pts, w = cloud
+    inputs = {"points": pts.copy(), "charges": w.copy(), "targets": pts.copy()}
+    flat = inputs[arg].reshape(-1)
+    flat[len(flat) // 2] = bad
+    with EvaluatorSession(evaluator) as sess:
+        with pytest.raises(ValueError, match=arg):
+            sess.submit(**inputs)
+        assert sess.stats["submits"] == 0
+
+
 @pytest.mark.parallel
 def test_parallel_session_bit_identical():
     rng = np.random.default_rng(7)
