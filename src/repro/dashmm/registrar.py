@@ -939,7 +939,7 @@ class Registrar:
         lcos, data_of = self.lcos, self._data_of
         for d, srcs, T, slots, dsts in plan[1]:
             W = np.stack([data_of(s)[d] for s in srcs])
-            acc = np.empty((len(dsts), T.shape[1]), dtype=complex)
+            acc = np.empty((len(dsts), T.shape[1]), dtype=np.result_type(W, T))
             # destination blocks of 32 rows keep every gathered operand
             # cache-resident while all slots fold into the block
             (r0, k0), *rest = slots
