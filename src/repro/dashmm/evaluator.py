@@ -37,15 +37,42 @@ from repro.tree.lists import InteractionLists, build_lists
 METHODS = ("fmm", "fmm-basic", "bh")
 
 
-def require_finite(**arrays) -> None:
-    """Raise ``ValueError`` naming the first argument holding NaN or inf.
+def check_inputs(names: tuple, sources, weights, targets) -> tuple:
+    """Validate one evaluation's inputs and return them as float64 arrays.
 
-    A non-finite coordinate would otherwise be Morton-binned like any
-    other point and come back as finite - silently wrong - potentials.
+    The front door of :meth:`DashmmEvaluator.evaluate` and
+    :meth:`repro.dashmm.service.EvaluatorSession.submit`; ``names``
+    labels the three arguments in error messages, and ``targets`` may
+    be None (returned as None).  Raises ``ValueError`` naming the
+    argument for:
+
+    * a complex or non-numeric dtype - the float64 cast would silently
+      drop an imaginary part;
+    * a bad shape - points must be ``(N, 3)`` and weights ``(N,)``;
+    * NaN or inf - a non-finite coordinate would otherwise be
+      Morton-binned like any other point and come back as finite,
+      silently wrong potentials.
     """
-    for name, arr in arrays.items():
-        if arr is not None and not np.isfinite(arr).all():
+    out = []
+    for i, (name, arr) in enumerate(zip(names, (sources, weights, targets))):
+        if arr is None:
+            out.append(None)
+            continue
+        a = np.asarray(arr)
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+        if i == 1:
+            want = f"({len(out[0])},)"
+            ok = a.shape == (len(out[0]),)
+        else:
+            want = "(N, 3)" if i == 0 else "(M, 3)"
+            ok = a.ndim == 2 and a.shape[1] == 3
+        if not ok:
+            raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+        if not np.isfinite(a).all():
             raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+        out.append(np.ascontiguousarray(a, dtype=np.float64))
+    return tuple(out)
 
 
 @dataclass
@@ -219,9 +246,11 @@ class DashmmEvaluator:
 
         Prebuilt trees/lists/DAGs may be passed to amortize setup over
         repeated evaluations (the iterative use case of Section IV).
-        Non-finite inputs raise ``ValueError``.
+        Malformed inputs raise ``ValueError`` (see :func:`check_inputs`).
         """
-        require_finite(sources=sources, weights=weights, targets=targets)
+        sources, weights, targets = check_inputs(
+            ("sources", "weights", "targets"), sources, weights, targets
+        )
         if self.runtime_config.backend == "parallel":
             # real-core execution: every worker process rebuilds the
             # setup deterministically from the raw arrays, so prebuilt

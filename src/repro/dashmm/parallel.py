@@ -40,6 +40,14 @@ Why the result is bit-identical to the simulator:
   exchange for remote L->T reads, and the deferred leaf-output flush.
   Exchange contents and barrier counts are derived from the replicated
   DAG, identically on every rank.
+
+Warm rounds of a persistent service skip the dataflow: each rank
+replays its slice of the registrar's compiled plan
+(:meth:`~repro.dashmm.registrar.Registrar.compile_replay`) - the whole
+upward pass, with remote multipoles kept in the mirror, then the eager
+folds, lazy lists and leaf outputs of its own destinations - and runs
+the same staged pipeline.  Batch compositions are keyed exactly as in
+the dataflow, so a warm round is bit-identical to the drained cold one.
 """
 
 from __future__ import annotations
@@ -70,23 +78,31 @@ class ParallelRegistrar(Registrar):
     Differences from the simulator registrar, all confined here:
 
     * :meth:`allocate` creates LCOs only for this rank's nodes;
-    * :meth:`_data_of` falls back to the parcel/stage mirror for remote
-      nodes;
-    * ``_mp_localities`` restricts the batched leaf-multipole fit to
-      this rank's batches (the base keying already matches).
+    * :meth:`_data_of` and :meth:`_store` fall back to the mirror for
+      remote nodes (filled by parcels, stage exchanges and the replayed
+      upward pass);
+    * ``_own_localities`` slices the replay plan and the leaf-multipole
+      cache to this rank (the base keying already matches).
     """
 
     def __init__(self, rank: int, *args, **kwargs):
         self._rank = rank
         self._mirror: dict[int, object] = {}
         super().__init__(*args, **kwargs)
-        self._mp_localities = {rank}
+        self._own_localities = {rank}
 
     def _data_of(self, node_id: int):
         lco = self.lcos.get(node_id)
         if lco is not None:
             return lco.data
         return self._mirror[node_id]
+
+    def _store(self, node_id: int, value) -> None:
+        lco = self.lcos.get(node_id)
+        if lco is not None:
+            lco.data = value
+        else:
+            self._mirror[node_id] = value
 
     def allocate(self) -> None:
         from repro.dashmm.registrar import ExpansionLCO
@@ -161,6 +177,8 @@ class _WorkerBody:
         self._stage_ends: dict[object, int] = {}
         self._expected = 0
         self._stopped = False
+        #: per-phase wall seconds of the last round (see :meth:`stats`)
+        self._phases: dict = {}
         self._build(manifest)
 
     # -- deterministic setup (untimed) -----------------------------------------
@@ -258,6 +276,9 @@ class _WorkerBody:
             dag.in_degree[nid] for nid in self.reg.lcos
         )
         self.plan = _stage_plan(dag, self.rank, self.n)
+        # the replay plan bakes this registrar's DAG and localities in;
+        # compiled on the first warm round
+        self.replay_plan = None
         from repro.hpx.parallel import ParallelContext
 
         self.ctx = ParallelContext(self.sched, self._on_parcel)
@@ -404,6 +425,7 @@ class _WorkerBody:
     # -- staged flush pipeline -------------------------------------------------
     def _exchange(self, stage, send_map: dict) -> None:
         """Ship stage data, then barrier on every peer's stage_end."""
+        t0 = time.perf_counter()
         for dst in sorted(send_map):
             payload = {nid: self.reg._data_of(nid) for nid in send_map[dst]}
             self.channel.send(dst, "stage", (stage, payload))
@@ -415,6 +437,7 @@ class _WorkerBody:
             or self.channel.unacked
         ):
             self._drain(block=True, timeout=0.05)
+        self._phases["exchange_s"] += time.perf_counter() - t0
 
     def _run_flushes(self) -> None:
         reg, plan = self.reg, self.plan
@@ -467,21 +490,51 @@ class _WorkerBody:
                 continue
             if tag != "go":  # pragma: no cover - defensive
                 raise ParallelError(f"unexpected message {tag!r} between rounds")
-            update = msg[1] if len(msg) > 1 else None
-            if update is not None:
-                self._round_update(update)
-            self._run_dataflow()
-            self._run_flushes()
+            self._round(msg[1] if len(msg) > 1 else None)
             self.parent_q.put(("done", self.rank, self.stats()))
         self.arena.close()
 
+    def _round(self, update) -> None:
+        """One evaluation.  A cold GO (no update: the first round, or a
+        re-drive on respawned workers) drains the task graph - the
+        reference every warm round must match bit for bit.  A warm round
+        replays the registrar's compiled plan instead; a rebuilt
+        registrar (shifted localities, new shape) recompiles it.  Both
+        end in the same staged flush pipeline."""
+        drained = update is None
+        ph = self._phases = dict.fromkeys(
+            ("update_s", "dataflow_s", "replay_s", "flush_s", "exchange_s"), 0.0
+        )
+        ph["drained"] = drained
+        t0 = time.perf_counter()
+        if drained:
+            self._run_dataflow()
+        else:
+            self._round_update(update)
+            t1 = time.perf_counter()
+            ph["update_s"], t0 = t1 - t0, t1
+            if self.replay_plan is None:
+                self.replay_plan = self.reg.compile_replay()
+            self.reg.replay(self.replay_plan)
+        t1 = time.perf_counter()
+        ph["dataflow_s" if drained else "replay_s"] = t1 - t0
+        self._run_flushes()
+        ph["flush_s"] = time.perf_counter() - t1 - ph["exchange_s"]
+
     def stats(self) -> dict:
+        """Counters of this rank plus the last round's phase split:
+        ``drained`` (task drain or plan replay) and wall seconds of
+        ``update_s`` (input change), ``dataflow_s`` (the drain; 0 on a
+        replayed round), ``replay_s`` (the replay, including a plan
+        recompile; 0 on a drained round), ``flush_s`` (staged flushes)
+        and ``exchange_s`` (their stage exchanges and barriers)."""
         return {
             "rank": self.rank,
             "tasks_run": self.sched.tasks_run,
             "lco_sets": self.sched.lco_sets_applied,
             "lcos": len(self.reg.lcos),
             **self.channel.stats(),
+            **self._phases,
         }
 
 
@@ -611,10 +664,14 @@ class PersistentParallelService:
     Where :func:`evaluate_parallel` spawns, runs one round and tears
     everything down, this keeps the worker processes, their attached
     shared-memory arena and each worker's rebuilt metadata (tree, DAG,
-    LCO network, operator and geometry caches) alive across
-    submissions.  A warm round costs one in-place array overwrite, one
-    GO/DONE handshake and the numeric work - no process spawn, no
-    operator refit, no tree carve.
+    LCO network, operator and geometry caches, compiled replay plan)
+    alive across submissions.  The cold round drains the task graph; a
+    warm round costs one in-place array overwrite, one GO/DONE handshake
+    and a plan replay plus the staged flushes - no process spawn, no
+    operator refit, no tree carve, no task.  ``round_stats`` keeps each
+    round's wall time and every worker's DONE stats, including its
+    ``drained`` flag and per-phase wall seconds (see
+    :meth:`_WorkerBody.stats`).
 
     The parent keeps its own tree replica (updated incrementally, like
     every worker) purely for the inverse permutation that unsorts the
@@ -767,8 +824,21 @@ class PersistentParallelService:
                 p.terminate()
         for p in self._procs:
             p.join(timeout=5.0)
+        self._abandon_queues()
         self._spawn_workers()
         self.respawns += 1
+
+    def _abandon_queues(self) -> None:
+        """Let process exit skip flushing the retired fleet's queues.
+
+        A dead worker's inbox pipe can be full of frames its peers sent
+        before they noticed; our own STOP/GO put behind them would then
+        block the queue's feeder thread, and with it interpreter exit,
+        forever.  Nobody reads these queues again.
+        """
+        for q in (*self._inboxes, self._parent_q):
+            if q is not None:
+                q.cancel_join_thread()
 
     def close(self) -> None:
         """Stop workers and release the arena (idempotent)."""
@@ -783,8 +853,10 @@ class PersistentParallelService:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=5.0)
+        self._abandon_queues()
         self._procs = []
         self._inboxes = []
+        self._parent_q = None
         if self._arena is not None:
             self._arena.destroy()
             self._arena = None

@@ -25,11 +25,18 @@ modes:
   synchronous FMM up to summation order.
 * ``phantom`` - transforms are skipped, only costs/messages are
   simulated; used for paper-scale scaling studies.
+
+What a numeric run computes depends only on the DAG and the node
+localities, never on the schedule, so warm paths skip the task graph:
+:meth:`Registrar.compile_replay` turns both into a static plan and
+:meth:`Registrar.replay` executes it (persistent sessions, and every
+warm round of a parallel worker).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,53 +77,20 @@ class _Deferred:
         self.edge = edge
 
 
-class _LazyAmps:
-    """Placeholder for an M->I value (outgoing plane-wave amplitudes).
+class _Lazy:
+    """Placeholder for a lazy edge value (M->I, I->I, I->L, L->L).
 
-    All pending M->I edges are materialized together - one GEMM per
-    (direction set, level) against the row-stacked operator - the first
-    time any intermediate expansion is read, so the 7 MB operator stack
-    streams through memory once per wave instead of once per edge.
+    Reducers ignore it: the registrar tracks the edge in a per-op list
+    and materializes every pending value of one op together - one
+    stacked GEMM per group - when the flush cascade runs, so each
+    operator stack streams through memory once per wave instead of once
+    per edge.
     """
 
     __slots__ = ("edge",)
 
     def __init__(self, edge):
         self.edge = edge
-
-
-class _LazyWave:
-    """Placeholder for an I->I value (translated plane-wave amplitudes);
-    materialized in bulk like :class:`_LazyAmps`."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyLocal:
-    """Placeholder for an I->L value (local expansion contribution);
-    materialized in bulk like :class:`_LazyAmps`."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-class _LazyDown:
-    """Placeholder for an L->L value (parent-to-child local shift);
-    materialized level by level once the upward/bridge flushes ran."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, edge):
-        self.edge = edge
-
-
-#: marker types ignored by the reducers (values tracked registrar-side)
-_LAZY = (_LazyAmps, _LazyWave, _LazyLocal, _LazyDown)
 
 
 def _marker_order(m) -> tuple:
@@ -134,6 +108,22 @@ def _marker_order(m) -> tuple:
 #: canonical direction order for the padded full-width operator stacks
 _FULL_DIRS = tuple(sorted(("+z", "-z", "+x", "-x", "+y", "-y")))
 _DIR_IDX = {d: i for i, d in enumerate(_FULL_DIRS)}
+
+
+@dataclass
+class ReplayPlan:
+    """Static numeric plan compiled from a DAG and its node localities.
+
+    See :meth:`Registrar.compile_replay`.  Valid while the DAG and the
+    node localities stay as compiled; coordinates and charges may
+    change freely.
+    """
+
+    m_folds: list  # (dst id, in-edges in fold-key order), deepest level first
+    l_folds: list  # (dst id, eager in-edges in fold-key order)
+    s2l_groups: list  # S->L batch groups as the batched dataflow forms them
+    lazy: tuple  # canonically sorted (m2i, i2i, i2l, l2l) marker lists
+    deferred: list  # canonically sorted leaf-output edges
 
 
 class ExpansionLCO(LCO):
@@ -193,7 +183,7 @@ class ExpansionLCO(LCO):
             if self.pending is None:
                 self.pending = []
             self.pending.append(value.edge)
-        elif type(value) in _LAZY:
+        elif type(value) is _Lazy:
             # tracked registrar-side; materialized in bulk on first read
             pass
         elif self.node.kind == "It":
@@ -263,9 +253,11 @@ class Registrar:
         #: source box index -> multipole, all leaves fitted in one
         #: stacked pass per level (batched path, built on first S->M)
         self._s2m: dict[int, np.ndarray] | None = None
-        #: restrict _leaf_multipoles to these M-node localities (set by
-        #: the parallel backend to the worker's own rank); None = all
-        self._mp_localities: "set[int] | None" = None
+        #: localities whose edges this registrar executes (the parallel
+        #: backend sets the worker's own rank); None = all.  The replay
+        #: plan compiles only their destinations, and the leaf-multipole
+        #: cache keeps only their batches
+        self._own_localities: "set[int] | None" = None
         #: M->I / I->I / I->L / L->L edges whose value is pending bulk
         #: materialization (the exponential bridge and the downward
         #: shift are lazy end to end)
@@ -802,30 +794,29 @@ class Registrar:
                 self._s2m = self._leaf_multipoles()
             return self._s2m[self.dag.nodes[e.src].box_index]
         if op == "M2I":
-            dirs = self._m2i_dirs.get(e.dst)
-            if dirs is None:
-                dirs = tuple(
-                    sorted({ee.aux[0] for ee in self.dag.out_edges[e.dst] if ee.op == "I2I"})
-                )
-                self._m2i_dirs[e.dst] = dirs
-            if not dirs:
+            if not self._m2i_dirs_of(e.dst):
                 return {}
-            marker = _LazyAmps(e)
-            self._lazy_m2i.append(marker)
-            return marker
-        if op == "I2I":
-            marker = _LazyWave(e)
-            self._lazy_i2i.append(marker)
-            return marker
-        if op == "I2L":
-            marker = _LazyLocal(e)
-            self._lazy_i2l.append(marker)
-            return marker
-        if op == "L2L":
-            marker = _LazyDown(e)
-            self._lazy_l2l.append(marker)
-            return marker
-        return self._edge_value(e)
+            lazy = self._lazy_m2i
+        elif op == "I2I":
+            lazy = self._lazy_i2i
+        elif op == "I2L":
+            lazy = self._lazy_i2l
+        elif op == "L2L":
+            lazy = self._lazy_l2l
+        else:
+            return self._edge_value(e)
+        marker = _Lazy(e)
+        lazy.append(marker)
+        return marker
+
+    def _m2i_dirs_of(self, is_id: int) -> tuple:
+        """Sorted directions an Is node radiates into (static per DAG)."""
+        dirs = self._m2i_dirs.get(is_id)
+        if dirs is None:
+            dirs = self._m2i_dirs[is_id] = tuple(
+                sorted({e.aux[0] for e in self.dag.out_edges[is_id] if e.op == "I2I"})
+            )
+        return dirs
 
     def _flush_m2i(self) -> None:
         """Materialize every pending M->I value in stacked GEMMs.
@@ -1064,24 +1055,23 @@ class Registrar:
         segmented reduction of the charge-weighted rows.
 
         Batches are keyed by (level, locality of the leaf's M node) -
-        the locality at which the S->M edge executes - so each batch is
-        exactly what one parallel worker fits; ``_mp_localities`` (set
-        by the parallel backend) restricts fitting to the worker's own
-        batches.  Leaves with no M node group under locality -1.
+        the locality at which the S->M edge executes - so a batch has
+        the same composition whether one registrar fits every leaf or a
+        parallel worker fits them; the geometry cache keeps only the
+        batches of ``_own_localities``.  Leaves with no M node group
+        under locality -1.
         """
         src = self.dual.source
         dom = self.dual.domain
         centers = self._centers["source"]
         m_index = self.dag.index.get("M", {})
         dnodes = self.dag.nodes
-        only = self._mp_localities
+        own = self._own_localities
         by_level: dict[tuple, list] = {}
         for b in src.boxes:
             if b.is_leaf and b.count > 0:
                 mid = m_index.get(b.index)
                 loc = dnodes[mid].locality if mid is not None else -1
-                if only is not None and loc not in only:
-                    continue
                 by_level.setdefault((b.level, loc), []).append(b)
         cache = self.geom_cache
         out: dict[int, np.ndarray] = {}
@@ -1095,7 +1085,8 @@ class Registrar:
             # elementwise product w[:, None] * P is chunking-invariant,
             # so a cache hit is bit-identical to a cold fit.
             ck = ("p2m", level, loc, len(w))
-            P = cache.get(ck) if cache is not None else None
+            keep = cache is not None and (own is None or loc in own)
+            P = cache.get(ck) if keep else None
             if P is None:
                 rel = (
                     np.concatenate(
@@ -1107,7 +1098,7 @@ class Registrar:
                 for lo in range(0, len(rel), 2048):
                     hi = lo + 2048
                     P[lo:hi] = self.kernel.p2m_matrix(rel[lo:hi], h)
-                if cache is not None:
+                if keep:
                     cache[ck] = P
             rows = w[:, None] * P
             starts = np.zeros(len(boxes), dtype=np.intp)
@@ -1166,14 +1157,14 @@ class Registrar:
             if len(group) == 1:
                 values[id(group[0])] = self._edge_value(group[0])
             else:
-                self._batch_values(key, group, values)
+                self._batch_values(group, values)
         lco_set = ctx.lco_set
         lcos = self.lcos
         edge_key = self._edge_key
         for e in edges:
             lco_set(lcos[e.dst], values[id(e)], key=edge_key(e), op_class=e.op)
 
-    def _batch_values(self, key, group, values: dict) -> None:
+    def _batch_values(self, group, values: dict) -> None:
         """Stacked numeric evaluation of one (op, operator-key) group.
 
         S2L: one p2l matrix build for all target boxes at this level.
@@ -1197,6 +1188,145 @@ class Registrar:
             coeffs[i:j] = np.matmul(q, mat.reshape(j - i, n, -1))
         for e, c in zip(group, coeffs):
             values[id(e)] = c
+
+    # -- replay plan ------------------------------------------------------------------
+    def compile_replay(self) -> ReplayPlan:
+        """Compile the DAG and the node localities into a replay plan.
+
+        The batched sequential dataflow decides only *when* values are
+        computed and folded.  *What* is computed is fixed by the DAG:
+        every LCO folds its eager inputs (S->M, M->M, S->L, M->L) in
+        canonical edge-key order, the S->L edges of one source batch by
+        (destination locality, target level), and every lazy or
+        deferred edge lands in a list the flushes sort canonically.
+        The plan records exactly that, so :meth:`replay` followed by
+        :meth:`flush_deferred` reproduces a drained run bit for bit
+        without running a task.
+
+        The upward pass (every M node) is always compiled whole: a
+        parallel worker needs remote multipoles as sources.  Everything
+        else is compiled only for destinations in ``_own_localities``.
+        Assumes the batched, sequential, coalesced numeric path (the
+        ablation flags schedule the same edges differently).  Also
+        fills ``_m2i_dirs``.
+
+        Only edges the dataflow runs are compiled.  A non-source node
+        with no inputs never triggers (an L box with empty interaction
+        lists, e.g. when the cloud fills a corner of a pinned domain),
+        nor does anything that waits on its out-edges; such a node's
+        out-edges never run, and a T node that never triggers never
+        hands its leaf outputs to the deferred list.
+        """
+        nodes = self._nodes
+        out_edges = self.dag.out_edges
+        in_degree = self.dag.in_degree
+        stuck = [n.id for n in nodes if n.kind != "S" and not in_degree[n.id]]
+        dead = set(stuck)
+        while stuck:
+            for e in out_edges[stuck.pop()]:
+                if e.dst not in dead:
+                    dead.add(e.dst)
+                    stuck.append(e.dst)
+        own = self._own_localities
+        ins_m: dict[int, list] = {}
+        ins_l: dict[int, list] = {}
+        s2l: dict[tuple, list] = {}
+        lazy: dict[str, list] = {"M2I": [], "I2I": [], "I2L": [], "L2L": []}
+        deferred = []
+        for edges in out_edges:
+            for e in edges:
+                if e.src in dead:
+                    break
+                op = e.op
+                if op in ("S2M", "M2M"):
+                    ins_m.setdefault(e.dst, []).append(e)
+                    continue
+                dst = nodes[e.dst]
+                if own is not None and dst.locality not in own:
+                    continue
+                if op in ("S2L", "M2L"):
+                    ins_l.setdefault(e.dst, []).append(e)
+                    if op == "S2L":
+                        # the composition _run_edges sees once
+                        # _process_edges has split the source's out-edges
+                        # by destination locality, in out-edge order
+                        s2l.setdefault((e.src, dst.locality, dst.level), []).append(e)
+                elif op in lazy:
+                    if op != "M2I" or self._m2i_dirs_of(e.dst):
+                        lazy[op].append(_Lazy(e))
+                elif op in FILLER_OPS:
+                    if e.dst not in dead:
+                        deferred.append(e)
+                else:  # pragma: no cover - defensive
+                    raise ValueError(f"unknown edge op {op}")
+        edge_key = self._edge_key
+        for d in dead:
+            ins_m.pop(d, None)
+            ins_l.pop(d, None)
+        for es in (*ins_m.values(), *ins_l.values()):
+            es.sort(key=edge_key)
+        for markers in lazy.values():
+            markers.sort(key=_marker_order)
+        deferred.sort(key=lambda e: (e.src, e.dst, e.op))
+        return ReplayPlan(
+            # children strictly precede parents: deepest destinations first
+            m_folds=sorted(ins_m.items(), key=lambda kv: (-nodes[kv[0]].level, kv[0])),
+            l_folds=list(ins_l.items()),
+            s2l_groups=list(s2l.values()),
+            lazy=tuple(lazy.values()),
+            deferred=deferred,
+        )
+
+    def _store(self, node_id: int, value) -> None:
+        """Set a node's expansion data (the counterpart of :meth:`_data_of`)."""
+        self.lcos[node_id].data = value
+
+    def replay(self, plan: ReplayPlan) -> None:
+        """Execute a compiled plan against the current tree and charges.
+
+        Call on a freshly allocated or :meth:`reset` registrar.  Leaves
+        it in the state a drained batched run leaves it in - eager
+        inputs folded in canonical key order, lazy and deferred lists
+        populated in canonical order - so the ordinary flush cascade
+        (:meth:`flush_deferred`, or the parallel backend's staged
+        pipeline) finishes the evaluation bit-identically.
+        """
+        nodes = self._nodes
+        dom = self.dual.domain
+        m2m = self.factory.m2m
+        data_of = self._data_of
+        # upward sweep: stacked leaf fits, then per-node canonical folds
+        s2m = self._leaf_multipoles()
+        for dst, es in plan.m_folds:
+            acc = None
+            for e in es:
+                if e.op == "S2M":
+                    v = s2m[nodes[e.src].box_index]
+                else:
+                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ data_of(e.src)
+                acc = v if acc is None else acc + v
+            self._store(dst, acc)
+        # list-X contributions in the batch compositions of the dataflow
+        values: dict[int, object] = {}
+        for group in plan.s2l_groups:
+            if len(group) == 1:
+                values[id(group[0])] = self._edge_value(group[0])
+            else:
+                self._batch_values(group, values)
+        lcos = self.lcos
+        for dst, es in plan.l_folds:
+            acc = None
+            for e in es:
+                v = values[id(e)] if e.op == "S2L" else self._edge_value(e)
+                acc = v if acc is None else acc + v
+            lcos[dst].data = acc
+        # the bridge, downward shift and leaf outputs flush from here
+        m2i, i2i, i2l, l2l = plan.lazy
+        self._lazy_m2i = list(m2i)
+        self._lazy_i2i = list(i2i)
+        self._lazy_i2l = list(i2l)
+        self._lazy_l2l = list(l2l)
+        self._deferred = list(plan.deferred)
 
     def flush_deferred(self) -> None:
         """Evaluate all deferred leaf-output edges in stacked passes.

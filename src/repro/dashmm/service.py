@@ -19,17 +19,19 @@ amortizes all of that:
   (or schema) change misses instead of replaying a stale graph.
 * **A long-lived session**: :class:`EvaluatorSession` exposes
   ``submit(points, charges) -> potentials`` over both backends.  On
-  ``sim`` the template's registrar is re-driven in process; on
-  ``parallel`` the worker processes, their shared-memory arena and
+  ``sim`` the template's registrar executes its replay plan in process;
+  on ``parallel`` the worker processes, their shared-memory arena and
   their rebuilt metadata survive across submissions
   (:class:`repro.dashmm.parallel.PersistentParallelService`).
 
 Correctness bar: every ``submit`` returns potentials bit-identical to a
-cold-start evaluation over the same tree.  The warm path changes *when*
-work happens, never *what* is computed: LCO folds run in canonical
-dedup-key order and every batched flush groups canonically (see
-:mod:`repro.dashmm.registrar`), so the direct FIFO drive below is just
-another legal schedule of the same dataflow.
+cold-start evaluation over the same tree.  The session never runs a
+task: what a drained run computes is a function of the DAG and the node
+localities alone - LCO folds run in canonical dedup-key order and every
+batched flush groups canonically - so each template compiles that
+function once (:meth:`Registrar.compile_replay`) and every submission
+executes it (:meth:`Registrar.replay`), recompiling only when a step
+moves node localities.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from repro.dashmm.dag import DAG, refresh_n_points
-from repro.dashmm.evaluator import require_finite
-from repro.dashmm.registrar import Registrar, _marker_order
-from repro.hpx.scheduler import Task, resolve_policy
+from repro.dashmm.evaluator import check_inputs
+from repro.dashmm.registrar import Registrar, ReplayPlan
+from repro.hpx.scheduler import resolve_policy
 from repro.tree.box import Domain
 from repro.tree.dualtree import DualTree, build_dual_tree
 from repro.tree.fingerprint import (
@@ -55,101 +58,21 @@ from repro.tree.fingerprint import (
 from repro.tree.incremental import update_dual_tree
 
 
-class _DirectScheduler:
-    """FIFO task drain with the scheduler surface the LCO layer expects.
+class _PlanRuntime:
+    """The runtime surface a template's registrar touches.
 
-    The direct drive has no virtual clock and no worker mesh: tasks run
-    to completion in enqueue order, with effects applied immediately -
-    the same execution discipline as one parallel-backend worker
-    (:class:`repro.hpx.parallel.WorkerScheduler`), whose bit-identity
-    to the simulator is already certified.  Priorities are ignored on
-    purpose: result bits are schedule-independent by construction, and
-    a FIFO needs no level bookkeeping.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.schedule_driver = None
-        self.now = 0.0
-        self.hazards = None
-        self.lco_dedup = True
-        self.lco_dups_suppressed = 0
-        self.lco_sets_applied = 0
-        self.tasks_run = 0
-        self._fifo: deque = deque()
-
-    def enqueue(self, task: Task, locality: int, t: float = 0.0, worker_hint=None) -> None:
-        self._fifo.append((task, locality))
-
-    def pop(self):
-        if not self._fifo:
-            return None
-        self.tasks_run += 1
-        return self._fifo.popleft()
-
-    def has_ready(self) -> bool:
-        return bool(self._fifo)
-
-
-class _DirectContext:
-    """Task context for the direct drive.
-
-    Same surface as the simulator's ``TaskContext`` /
-    :class:`repro.hpx.parallel.ParallelContext`; ``locality`` is set by
-    the drain loop to the locality each task was enqueued at, so the
-    registrar's local/remote edge partitioning - and therefore the
-    batched group compositions - match the simulated run exactly.
-    """
-
-    __slots__ = ("scheduler", "runtime", "locality", "worker", "time", "hb")
-
-    def __init__(self, scheduler: _DirectScheduler, runtime: "_DirectRuntime"):
-        self.scheduler = scheduler
-        self.runtime = runtime
-        self.locality = 0
-        self.worker = 0
-        self.time = 0.0
-        self.hb = None
-
-    def charge(self, op_class: str, dt: float) -> None:
-        if dt < 0:
-            raise ValueError("negative charge")
-
-    def spawn(self, task: Task, locality: int | None = None) -> None:
-        self.scheduler.enqueue(task, self.locality if locality is None else locality)
-
-    def send_parcel(self, parcel) -> None:
-        fn = self.runtime.action(parcel.action)
-        self.scheduler.enqueue(
-            Task(
-                fn=lambda ctx, f=fn, p=parcel: f(ctx, p.target, *p.args, **p.kwargs),
-                op_class=parcel.op_class,
-                priority=parcel.priority,
-            ),
-            parcel.target_locality,
-        )
-
-    def lco_set(self, lco, value=None, key=None, op_class=None) -> None:
-        self.scheduler.lco_sets_applied += 1
-        lco._apply_set(value, 0.0, self.scheduler, key=key, op_class=op_class)
-
-    def call_at_completion(self, fn) -> None:
-        fn(0.0)
-
-
-class _DirectRuntime:
-    """In-process runtime facade backing one DAG template.
-
-    The subset of the :class:`~repro.hpx.runtime.Runtime` surface the
-    registrar touches; parcels short-circuit to task enqueues at the
-    destination locality (everything is in one address space).
+    A session never runs a task: its registrar compiles the DAG into a
+    replay plan (:meth:`Registrar.compile_replay`) and executes that.
+    Constructing the registrar and its LCOs still allocates GAS
+    addresses, registers the parcel action and reads the scheduling
+    policy for priority stamps, so this facade carries those three.
     """
 
     def __init__(self, n_localities: int, policy):
         from repro.hpx.gas import GlobalAddressSpace
 
-        self.scheduler = _DirectScheduler(policy)
         self.gas = GlobalAddressSpace(n_localities)
+        self.scheduler = SimpleNamespace(policy=policy)
         self._actions: dict = {}
 
     def register_action(self, name: str, fn) -> None:
@@ -157,126 +80,17 @@ class _DirectRuntime:
             raise ValueError(f"action {name!r} already registered")
         self._actions[name] = fn
 
-    def action(self, name: str):
-        fn = self._actions.get(name)
-        if fn is None:
-            raise KeyError(f"unregistered action {name!r}")
-        return fn
-
-    def enqueue_task(self, task: Task, locality: int) -> None:
-        self.scheduler.enqueue(task, locality)
-
-    def drain(self, ctx: _DirectContext) -> None:
-        sched = self.scheduler
-        while True:
-            item = sched.pop()
-            if item is None:
-                return
-            task, loc = item
-            ctx.locality = loc
-            task.fn(ctx, *task.args)
-
 
 @dataclass
 class _Template:
     """One cached shape: structural DAG + live LCO network + caches."""
 
     dual: DualTree
-    lists: Any
     dag: DAG
-    runtime: _DirectRuntime
     registrar: Registrar
     full_fp: tuple
     geom_token: int
-    uses: int = 0
-    replay: "Any | None" = None
-
-
-#: edge ops the replay fast path knows how to re-execute; a DAG with
-#: anything else (a future method) falls back to the full task drain
-_REPLAY_EAGER = frozenset({"S2M", "M2M", "S2L", "M2L"})
-_REPLAY_LAZY = frozenset({"M2I", "I2I", "I2L", "L2L"})
-_REPLAY_DEFERRED = frozenset({"S2T", "M2T", "L2T"})
-_REPLAY_OPS = _REPLAY_EAGER | _REPLAY_LAZY | _REPLAY_DEFERRED
-
-
-@dataclass
-class _ReplayPlan:
-    """Shape-frozen execution recipe recorded from one drained run.
-
-    The task drain only decides *when* values are computed and folded;
-    *what* is computed is fixed by the DAG (eager edge set, batch group
-    compositions, canonical fold order) and the flush cascade groups
-    its markers canonically regardless of accumulation order.  The plan
-    therefore stores the eager fold lists, the cold S->L batch groups
-    and the pre-sorted lazy/deferred edge lists; replaying them against
-    fresh weights/coordinates reproduces the drained run bit for bit
-    while skipping every task-queue and LCO-inbox round trip.
-
-    Validity: shape + node assignment.  Geometry and weights may change
-    freely (everything coordinate-dependent is recomputed or served by
-    ``geom_cache`` under its own invalidation); a locality reassignment
-    drops the plan because the S->L groups bake destination localities
-    in.
-    """
-
-    m_folds: list  # (dst id, in-edges sorted by fold key), deepest level first
-    l_folds: list  # (dst id, eager in-edges sorted by fold key)
-    s2l_groups: list  # cold batch groups: [[edge, ...], ...]
-    lazy: tuple  # canonically pre-sorted (m2i, i2i, i2l, l2l) marker lists
-    deferred: list  # canonically pre-sorted leaf-output edges
-
-
-def _capture_replay(reg: Registrar) -> "_ReplayPlan | None":
-    """Record a replay plan from a just-drained registrar (pre-flush)."""
-    if not (reg.sequential_edges and reg.batch_edges and reg.mode == "numeric"):
-        return None
-    dag = reg.dag
-    nodes = dag.nodes
-    edge_key = reg._edge_key
-    ins_m: dict[int, list] = {}
-    ins_l: dict[int, list] = {}
-    s2l_map: "dict[tuple, list]" = {}
-    for edges in dag.out_edges:
-        for e in edges:
-            op = e.op
-            if op not in _REPLAY_OPS:
-                return None
-            if op in ("S2M", "M2M"):
-                ins_m.setdefault(e.dst, []).append(e)
-            elif op in ("S2L", "M2L"):
-                ins_l.setdefault(e.dst, []).append(e)
-                if op == "S2L":
-                    # one batch group per (source, destination locality,
-                    # target level): exactly the composition _run_edges
-                    # sees after _process_edges partitions by locality,
-                    # preserving out-edge order within the group
-                    dst = nodes[e.dst]
-                    s2l_map.setdefault(
-                        (e.src, dst.locality, dst.level), []
-                    ).append(e)
-    m_folds = []
-    for dst, es in ins_m.items():
-        es.sort(key=edge_key)
-        m_folds.append((nodes[dst].level, dst, es))
-    # children strictly precede parents: deepest destinations first
-    m_folds.sort(key=lambda t: (-t[0], t[1]))
-    l_folds = []
-    for dst, es in ins_l.items():
-        es.sort(key=edge_key)
-        l_folds.append((dst, es))
-    return _ReplayPlan(
-        m_folds=[(dst, es) for _, dst, es in m_folds],
-        l_folds=l_folds,
-        s2l_groups=list(s2l_map.values()),
-        lazy=(
-            sorted(reg._lazy_m2i, key=_marker_order),
-            sorted(reg._lazy_i2i, key=_marker_order),
-            sorted(reg._lazy_i2l, key=_marker_order),
-            sorted(reg._lazy_l2l, key=_marker_order),
-        ),
-        deferred=sorted(reg._deferred, key=lambda e: (e.src, e.dst, e.op)),
-    )
+    replay: ReplayPlan | None = None
 
 
 #: tree-repair records kept in ``EvaluatorSession.stats["tree_updates"]``
@@ -319,6 +133,12 @@ class EvaluatorSession:
                 "EvaluatorSession serves numeric potentials; phantom-mode "
                 "scaling studies run through evaluate()"
             )
+        for flag in ("coalesce", "sequential_edges", "batch_edges"):
+            if not getattr(evaluator, flag):
+                raise ValueError(
+                    f"EvaluatorSession replays the batched dataflow and needs "
+                    f"{flag}=True (the ablation paths run through evaluate())"
+                )
         self.evaluator = evaluator
         self.backend = evaluator.runtime_config.backend
         self.domain = domain
@@ -369,21 +189,23 @@ class EvaluatorSession:
     ) -> np.ndarray:
         """Potentials at ``targets`` (default: ``points``) due to ``charges``.
 
-        Non-finite inputs raise ``ValueError``.
+        Malformed inputs raise ``ValueError`` (see
+        :func:`~repro.dashmm.evaluator.check_inputs`).  With no sources
+        the potentials are zeros and with no targets they are empty, as
+        from ``evaluate()``; neither pins the session frame.
         """
-        require_finite(points=points, charges=charges, targets=targets)
-        sources = np.ascontiguousarray(points, dtype=np.float64)
-        charges = np.ascontiguousarray(charges, dtype=np.float64)
-        tgts = (
-            sources
-            if targets is None
-            else np.ascontiguousarray(targets, dtype=np.float64)
+        sources, charges, tgts = check_inputs(
+            ("points", "charges", "targets"), points, charges, targets
         )
+        if tgts is None:
+            tgts = sources
+        self.stats["submits"] += 1
+        if not len(sources) or not len(tgts):
+            return np.zeros(len(tgts))
         if self.domain is None:
             # first use pins the session frame; identical to what a cold
             # evaluate() derives for the same inputs
             self.domain = Domain.bounding(sources, tgts)
-        self.stats["submits"] += 1
         if self.backend == "parallel":
             return self._submit_parallel(sources, charges, tgts)
         return self._submit_sim(sources, charges, tgts)
@@ -460,20 +282,16 @@ class EvaluatorSession:
             self.stats["template_hits"] += 1
             self._templates.move_to_end(shape)
             self._refresh_template(tpl, dual, weights)
-        tpl.uses += 1
         self._current = tpl
         return self._execute(tpl)
 
     def _build_template(self, dual: DualTree) -> _Template:
         ev = self.evaluator
         cfg = ev._resolved_config()
-        dag, lists = ev.build_dag(dual)
+        dag, _ = ev.build_dag(dual)
         ev.policy.assign(dag, dual, cfg.n_localities)
-        runtime = _DirectRuntime(
-            cfg.n_localities, resolve_policy(cfg.policy, cfg.priorities)
-        )
         reg = Registrar(
-            runtime,
+            _PlanRuntime(cfg.n_localities, resolve_policy(cfg.policy, cfg.priorities)),
             dag,
             dual,
             ev.kernel,
@@ -481,18 +299,13 @@ class EvaluatorSession:
             mode="numeric",
             cost_model=ev.cost_model,
             size_model=ev.size_model,
-            coalesce=ev.coalesce,
-            sequential_edges=ev.sequential_edges,
-            batch_edges=ev.batch_edges,
         )
         reg.geom_cache = {}
         reg.plan_caching = True
         reg.allocate()
         return _Template(
             dual=dual,
-            lists=lists,
             dag=dag,
-            runtime=runtime,
             registrar=reg,
             full_fp=dual_full_fingerprint(dual),
             geom_token=geometry_token(dual.source.points, dual.target.points),
@@ -532,66 +345,14 @@ class EvaluatorSession:
         reg.reset()
 
     def _execute(self, tpl: _Template) -> np.ndarray:
-        reg, runtime = tpl.registrar, tpl.runtime
-        if tpl.replay is not None:
-            self._replay(tpl)
-        else:
-            ctx = _DirectContext(runtime.scheduler, runtime)
-            reg.initial_tasks()
-            runtime.drain(ctx)
-            tpl.replay = _capture_replay(reg)
+        reg = tpl.registrar
+        if tpl.replay is None:
+            tpl.replay = reg.compile_replay()
+        reg.replay(tpl.replay)
         reg.flush_deferred()
         out = np.empty(tpl.dual.target.n_points)
         out[tpl.dual.target.perm] = reg.result
         return out
-
-    def _replay(self, tpl: _Template) -> None:
-        """Re-execute a recorded plan against the current tree + charges.
-
-        Leaves the registrar in exactly the state a full task drain
-        leaves it in - M/L expansions folded in canonical key order,
-        marker and deferred lists populated in canonical order - so the
-        ordinary :meth:`Registrar.flush_deferred` cascade finishes the
-        evaluation bit-identically.
-        """
-        reg = tpl.registrar
-        rp = tpl.replay
-        lcos = reg.lcos
-        nodes = reg.dag.nodes
-        dom = reg.dual.domain
-        m2m = reg.factory.m2m
-        # upward sweep: stacked leaf fits, then per-node canonical folds
-        s2m = reg._leaf_multipoles()
-        for dst, es in rp.m_folds:
-            acc = None
-            for e in es:
-                if e.op == "S2M":
-                    v = s2m[nodes[e.src].box_index]
-                else:
-                    v = m2m(e.aux, dom.box_size(nodes[e.src].level)) @ lcos[e.src].data
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
-        # list-X contributions in the cold batch compositions
-        values: dict[int, object] = {}
-        for group in rp.s2l_groups:
-            if len(group) == 1:
-                values[id(group[0])] = reg._edge_value(group[0])
-            else:
-                key = ("S2L", nodes[group[0].dst].level)
-                reg._batch_values(key, group, values)
-        for dst, es in rp.l_folds:
-            acc = None
-            for e in es:
-                v = values[id(e)] if e.op == "S2L" else reg._edge_value(e)
-                acc = v if acc is None else acc + v
-            lcos[dst].data = acc
-        # the bridge, downward shift and leaf outputs flush from here
-        m2i, i2i, i2l, l2l = rp.lazy
-        reg._lazy_m2i = list(m2i)
-        reg._lazy_i2i = list(i2i)
-        reg._lazy_i2l = list(i2l)
-        reg._lazy_l2l = list(l2l)
-        reg._deferred = list(rp.deferred)
 
     # -- parallel backend --------------------------------------------------------
     def _submit_parallel(self, sources, weights, targets) -> np.ndarray:

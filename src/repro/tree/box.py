@@ -38,9 +38,12 @@ class Domain:
         """Smallest cube containing all given (N, 3) point sets.
 
         A tiny relative pad keeps boundary points strictly inside so
-        floor-based bucketing is stable.
+        floor-based bucketing is stable.  No points at all give the
+        unit cube centred on the origin.
         """
         stacked = np.vstack([np.asarray(p, dtype=float) for p in point_sets])
+        if not len(stacked):
+            stacked = np.zeros((1, 3))
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
         size = float((hi - lo).max())

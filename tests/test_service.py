@@ -252,6 +252,100 @@ def test_submit_rejects_non_finite_input(evaluator, cloud, arg, bad):
         assert sess.stats["submits"] == 0
 
 
+def _locality_shifting_move(rng, pts):
+    """Nudge 5% of ``pts``.  For the seed-5, 300-point cube on 2
+    localities at threshold 20 this keeps the tree shape but moves a box
+    across the count-balanced locality cut."""
+    moved = pts.copy()
+    idx = rng.choice(len(pts), size=len(pts) // 20, replace=False)
+    moved[idx] = np.clip(
+        moved[idx] + rng.normal(scale=0.05, size=(len(idx), 3)), pts.min(), pts.max()
+    )
+    return moved
+
+
+def test_locality_shift_recompiles_and_runs_no_task(kernel, factory, monkeypatch):
+    from repro.dashmm.registrar import Registrar
+    from repro.tree.dualtree import build_dual_tree
+
+    rng = np.random.default_rng(5)
+    n = 300
+    pts = rng.random((n, 3))
+    q = rng.random(n)
+    moved = _locality_shifting_move(rng, pts)
+    ev = DashmmEvaluator(
+        kernel,
+        method="fmm",
+        threshold=20,
+        runtime_config=RuntimeConfig(n_localities=2),
+        factory=factory,
+    )
+    compiled = []
+    compile_replay = Registrar.compile_replay
+
+    def spy(self):
+        compiled.append(self)
+        return compile_replay(self)
+
+    def no_task(*args, **kwargs):
+        raise AssertionError("the session ran the task graph")
+
+    monkeypatch.setattr(Registrar, "compile_replay", spy)
+    for name in ("initial_tasks", "_continuation", "_process_edges", "_run_edges"):
+        monkeypatch.setattr(Registrar, name, no_task)
+    with EvaluatorSession(ev) as sess:
+        sess.submit(pts, q)
+        tpl = sess._current
+        locs = [nd.locality for nd in tpl.dag.nodes]
+        out = sess.submit(moved, q)
+        assert sess._current is tpl, "the step should keep the tree shape"
+        assert [nd.locality for nd in tpl.dag.nodes] != locs, "no locality shift"
+        assert len(compiled) == 2
+        monkeypatch.undo()
+        dual = build_dual_tree(moved, moved, ev.threshold, source_weights=q, domain=sess.domain)
+        assert np.array_equal(out, ev.evaluate(moved, q, moved, dual=dual).potentials)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (np.zeros((0, 3)), np.zeros(0), None),
+        (np.zeros((0, 3)), np.zeros(0), np.full((5, 3), 0.5)),
+        (np.full((5, 3), 0.5), np.ones(5), np.zeros((0, 3))),
+    ],
+    ids=["nothing", "no-sources", "no-targets"],
+)
+def test_submit_empty_input_matches_evaluate(evaluator, args):
+    pts, q, tgts = args
+    want = evaluator.evaluate(pts, q, pts if tgts is None else tgts).potentials
+    with EvaluatorSession(evaluator) as sess:
+        out = sess.submit(pts, q, tgts)
+        assert out.shape == want.shape and np.array_equal(out, want)
+        assert sess.domain is None, "an empty submit must not pin the frame"
+        assert sess.stats["submits"] == 1
+
+
+@pytest.mark.parametrize(
+    "arg, spoil, match",
+    [
+        ("charges", lambda a: a + 1j, "charges must hold real numbers"),
+        ("charges", lambda a: a.astype(str), "charges must hold real numbers"),
+        ("points", lambda a: a + 1j, "points must hold real numbers"),
+        ("targets", lambda a: a[:, :2], r"targets must have shape \(M, 3\)"),
+        ("charges", lambda a: a[:-1], "charges must have shape"),
+    ],
+    ids=["complex-charges", "text-charges", "complex-points", "flat-targets", "short-charges"],
+)
+def test_submit_rejects_malformed_input(evaluator, cloud, arg, spoil, match):
+    rng, pts, w = cloud
+    inputs = {"points": pts, "charges": w, "targets": pts}
+    inputs[arg] = spoil(inputs[arg])
+    with EvaluatorSession(evaluator) as sess:
+        with pytest.raises(ValueError, match=match):
+            sess.submit(**inputs)
+        assert sess.stats["submits"] == 0
+
+
 @pytest.mark.parallel
 def test_parallel_session_bit_identical():
     rng = np.random.default_rng(7)
@@ -291,6 +385,54 @@ def test_parallel_session_bit_identical():
             pts2[idx] + rng.normal(scale=1e-3, size=(4, 3)), pts.min(), pts.max()
         )
         assert np.array_equal(sess.submit(pts2, w2), sim.submit(pts2, w2))
+
+
+@pytest.mark.parallel
+def test_parallel_warm_rounds_replay():
+    """Warm rounds replay the compiled plan instead of draining the task
+    graph, bit-identical to the sim session on every kind of round."""
+    rng = np.random.default_rng(5)
+    n = 300
+    pts = rng.random((n, 3))
+    w = rng.random(n)
+    shifted = _locality_shifting_move(rng, pts)
+    w2 = rng.random(n)
+    nudged = pts.copy()
+    idx = rng.choice(n, size=4, replace=False)
+    nudged[idx] = np.clip(
+        nudged[idx] + rng.normal(scale=1e-3, size=(4, 3)), pts.min(), pts.max()
+    )
+    ev_par = _parallel_evaluator()
+    ev_sim = DashmmEvaluator(
+        ev_par.kernel,
+        method="fmm",
+        threshold=20,
+        runtime_config=RuntimeConfig(n_localities=2),
+        factory=ev_par.factory,
+    )
+    rounds = [
+        ("cold", pts, w),
+        ("weights", pts, w2),
+        ("same-shape move", nudged, w2),
+        ("locality shift", shifted, w2),
+        ("shape change", 0.4 * pts + 0.1, w2),
+    ]
+    with EvaluatorSession(ev_par) as sess, EvaluatorSession(ev_sim) as sim:
+        for kind, p, q in rounds:
+            tpl = sim._current
+            locs = None if tpl is None else [nd.locality for nd in tpl.dag.nodes]
+            assert np.array_equal(sess.submit(p, q), sim.submit(p, q)), kind
+            if kind == "locality shift":
+                assert sim._current is tpl
+                assert [nd.locality for nd in tpl.dag.nodes] != locs
+            elif kind == "shape change":
+                assert sim._current is not tpl
+            workers = sess._parallel.round_stats[-1]["workers"]
+            for st in workers:
+                assert st["drained"] is (kind == "cold"), kind
+                assert {"update_s", "replay_s", "flush_s", "exchange_s"} <= set(st)
+                if kind != "cold":
+                    assert st["dataflow_s"] == 0.0
 
 
 def _parallel_evaluator(n_localities=2, threshold=20):
